@@ -168,6 +168,7 @@ type mcDriver struct {
 	cfg     config.Config
 	visited map[mcFP]bool
 	res     *MCResult
+	fp      fpScratch
 }
 
 // ModelCheck exhaustively explores prog under the options' protocol and
@@ -326,7 +327,7 @@ func (d *mcDriver) runOne(delays []uint32, prefix []uint8) (*mcRunOutcome, error
 	m.AttachTracer(trace.NewBus(inv))
 	m.SetNoCDelayChooser(func() uint64 {
 		i := len(out.taken)
-		fp := fingerprintMachine(m, d.p, rec)
+		fp := d.fp.fingerprintMachine(m, d.p, rec)
 		out.fps = append(out.fps, fp)
 		if i >= len(prefix) && out.prunedAt < 0 {
 			if d.visited[fp] {
@@ -384,7 +385,7 @@ func (d *mcDriver) runOne(delays []uint32, prefix []uint8) (*mcRunOutcome, error
 	}
 	// Terminal fingerprint for the graph (not a decision point, so it is
 	// not part of the pruning set).
-	out.fps = append(out.fps, fingerprintMachine(m, d.p, rec))
+	out.fps = append(out.fps, d.fp.fingerprintMachine(m, d.p, rec))
 	return out, nil
 }
 

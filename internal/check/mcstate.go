@@ -47,43 +47,49 @@ func (f mcFP) String() string { return fmt.Sprintf("%x", f[:8]) }
 // histories colliding in every counter, the clock, memory, observations
 // and the in-flight schedule simultaneously is the residual risk, and it
 // is negligible at model-checking scales.
-func fingerprintMachine(m *sim.Machine, p *Prog, rec *recorder) mcFP {
-	h := sha256.New()
-	var buf [8]byte
-	w64 := func(v uint64) {
-		binary.LittleEndian.PutUint64(buf[:], v)
-		h.Write(buf[:])
-	}
-	w64(uint64(m.Now()))
-	h.Write(m.Stats().WireBytes())
+//
+// The bytes are streamed into one reused buffer and hashed in a single
+// pass, so a decision point allocates nothing once the buffers have grown.
+func (s *fpScratch) fingerprintMachine(m *sim.Machine, p *Prog, rec *recorder) mcFP {
+	b := binary.LittleEndian.AppendUint64(s.buf[:0], uint64(m.Now()))
+	b = m.Stats().AppendWire(b)
 	for l := 0; l < p.Lines; l++ {
-		w64(m.ReadLine(Base + uint64(l)))
+		b = binary.LittleEndian.AppendUint64(b, m.ReadLine(Base+uint64(l)))
 	}
-	obs := append([]string(nil), rec.entries...)
-	sort.Strings(obs)
-	h.Write([]byte(strings.Join(obs, ";")))
-	m.FoldInflight(func(at timing.Cycle, msg *coherence.Msg) {
-		w64(uint64(at))
-		w64(uint64(msg.Type))
-		w64(msg.Line)
-		w64(uint64(msg.Src))
-		w64(uint64(msg.Dst))
-		w64(msg.ReqID)
-		w64(uint64(msg.Warp))
-		w64(msg.Now)
-		w64(msg.Exp)
-		w64(msg.Ver)
-		w64(msg.Val)
-		if msg.Atomic {
-			w64(1)
-		} else {
-			w64(0)
+	s.obs = append(s.obs[:0], rec.entries...)
+	sort.Strings(s.obs)
+	for i, o := range s.obs {
+		if i > 0 {
+			b = append(b, ';')
 		}
-	})
+		b = append(b, o...)
+	}
+	s.buf = b
+	m.FoldInflight(s.foldMsg)
+	sum := sha256.Sum256(s.buf)
 	var fp mcFP
-	sum := h.Sum(nil)
-	copy(fp[:], sum)
+	copy(fp[:], sum[:])
 	return fp
+}
+
+// fpScratch holds fingerprintMachine's reused buffers: the byte stream
+// being hashed and the sorted copy of the observation log.
+type fpScratch struct {
+	buf []byte
+	obs []string
+}
+
+// foldMsg appends one in-flight message (delivery cycle, then every
+// payload field) to the fingerprint stream.
+func (s *fpScratch) foldMsg(at timing.Cycle, msg *coherence.Msg) {
+	atomic := uint64(0)
+	if msg.Atomic {
+		atomic = 1
+	}
+	for _, v := range [...]uint64{uint64(at), uint64(msg.Type), msg.Line, uint64(msg.Src), uint64(msg.Dst),
+		msg.ReqID, uint64(msg.Warp), msg.Now, msg.Exp, msg.Ver, msg.Val, atomic} {
+		s.buf = binary.LittleEndian.AppendUint64(s.buf, v)
+	}
 }
 
 // ---------------------------------------------------------------------

@@ -241,10 +241,10 @@ type L2 interface {
 	Drained() bool
 }
 
-// Waker is an optional interface for Sinks: an L1 controller that finds it
-// has freed resources the SM may be waiting on (an MSHR slot, a thaw after
-// a rollover freeze) calls Wake so the SM re-scans on the next visited
-// cycle instead of polling every cycle.
+// Waker is an optional interface for Sinks: an L1 controller registers
+// Wake with its MSHR table (mem.MSHRs.OnRoom), so the SM hears when a full
+// MSHR file frees an entry — the event that can turn a refused Access into
+// an accepted one — and retries refused submits then instead of polling.
 type Waker interface {
 	Wake()
 }

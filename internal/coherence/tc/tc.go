@@ -63,11 +63,6 @@ type L1 struct {
 	// TCW: per-warp maximum GWCT, consulted by fences.
 	gwct []timing.Cycle
 
-	// wake, when non-nil, notifies the SM that this Tick may have freed
-	// resources it is polling for (an MSHR slot); set from SetSink when the
-	// sink implements coherence.Waker.
-	wake func()
-
 	heat *obs.Heat // per-line contention sampling (nil disables)
 
 	sp *span.Recorder // causal spans for sampled requests (nil disables)
@@ -263,9 +258,6 @@ func (c *L1) Tick(now timing.Cycle) bool {
 	}
 	c.inbox = c.inbox[:0]
 	c.inHead = 0
-	if did && c.wake != nil {
-		c.wake()
-	}
 	return did
 }
 
@@ -792,8 +784,8 @@ func (c *L2) Drained() bool {
 func (c *L1) SetSink(s coherence.Sink) {
 	c.sink = s
 	if w, ok := s.(coherence.Waker); ok {
-		c.wake = w.Wake
+		c.mshrs.OnRoom(w.Wake)
 	} else {
-		c.wake = nil
+		c.mshrs.OnRoom(nil)
 	}
 }

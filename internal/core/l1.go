@@ -86,11 +86,6 @@ type L1 struct {
 
 	// sp, when non-nil, records causal spans for sampled requests.
 	sp *span.Recorder
-
-	// wake, when non-nil, notifies the SM that this Tick may have freed
-	// resources it is polling for (an MSHR slot); set from SetSink when the
-	// sink implements coherence.Waker.
-	wake func()
 }
 
 // NewL1 builds the controller. clk is shared with the SM front end (for
@@ -388,9 +383,6 @@ func (c *L1) Tick(now timing.Cycle) bool {
 	}
 	c.inbox = c.inbox[:0]
 	c.inHead = 0
-	if did && c.wake != nil {
-		c.wake()
-	}
 	return did
 }
 
@@ -629,9 +621,9 @@ func (c *L1) Drained() bool { return c.inHead >= len(c.inbox) && c.mshrs.Len() =
 func (c *L1) SetSink(s coherence.Sink) {
 	c.sink = s
 	if w, ok := s.(coherence.Waker); ok {
-		c.wake = w.Wake
+		c.mshrs.OnRoom(w.Wake)
 	} else {
-		c.wake = nil
+		c.mshrs.OnRoom(nil)
 	}
 }
 

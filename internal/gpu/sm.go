@@ -133,6 +133,11 @@ type SM struct {
 	liveTrk     int
 	pendingSubs int
 
+	// failedTries counts issue attempts that made no progress. It is host
+	// work, not simulated state: the scan masks exist to keep it small,
+	// and the scan-work test bounds it per retired instruction.
+	failedTries uint64
+
 	// Sleep cache: after a scan finds nothing issuable, the SM skips
 	// further scans until wakeAt, unless a completion or barrier release
 	// marks it dirty. This keeps idle cycles O(1) instead of O(warps).
@@ -182,13 +187,34 @@ type SM struct {
 
 	// Scan masks, maintained by reclassify after every warp-state change:
 	// cand bit i set ⟺ warps[i] might issue (not done-and-drained, not at
-	// a barrier, not SC-blocked), so scans touch only plausible warps;
-	// scMask bit i set ⟺ warps[i] is blocked purely by SC ordering (the
-	// set the stall accounting draws its blame from). Masks are stable
-	// while a scan runs: the only mutations happen inside issue paths,
-	// which end the scan.
+	// a barrier, not SC-blocked, not parked), so scans touch only
+	// plausible warps; scMask bit i set ⟺ warps[i] is blocked purely by
+	// SC ordering (the set the stall accounting draws its blame from).
+	// A warp is parked — out of cand — while it waits on an event that
+	// puts it back:
+	//   - a weak-ordering warp stalled at a fence with accesses
+	//     outstanding leaves cand on its first stalled visit (which starts
+	//     FenceStallCycles) and returns when MemDone retires its last
+	//     access;
+	//   - a partially submitted warp whose head line the L1 refused is
+	//     parked (park bit) until the refusal may no longer hold.
+	// The L1 refuses exactly when it is frozen, or when the line has no
+	// MSHR, the MSHR file is full and the access is not a readable load
+	// hit. After a refusal only two events can change that: the full file
+	// frees an entry (the L1's Wake; a rollover thaw arrives as
+	// ForceWake), or this SM's own accepted access to the same line
+	// allocates its MSHR or fill. doom bit i set ⟺ warps[i] was refused
+	// and no access to its head line has been accepted since; a refusal
+	// proves the file full again, so it re-parks every doomed warp Wake
+	// had released. No warp is ever rebuilt into a Request the L1 would
+	// turn down.
+	// Masks change during a scan only inside issue paths, which end the
+	// scan, or by clearing the bit of the warp just visited.
 	cand   []uint64
 	scMask []uint64
+	park   []uint64
+	doom   []uint64
+	doomN  int
 }
 
 func bitSet(mask []uint64, i int) bool { return mask[i>>6]&(1<<uint(i&63)) != 0 }
@@ -228,7 +254,8 @@ func nextBit(mask []uint64, from, n int) int {
 func (s *SM) reclassify(w *warp) {
 	sc := s.scBlocked(w)
 	setBit(s.scMask, w.id, sc)
-	setBit(s.cand, w.id, !sc && !w.atBarrier && !(w.done && w.subSlot < 0))
+	parked := bitSet(s.park, w.id) || (w.fenceStalled && w.outstanding > 0)
+	setBit(s.cand, w.id, !sc && !parked && !w.atBarrier && !(w.done && w.subSlot < 0))
 }
 
 // NewSM builds an SM running the given warp traces through l1.
@@ -269,6 +296,8 @@ func NewSM(cfg config.Config, id int, l1 coherence.L1, st *stats.Run, traces []w
 	}
 	s.cand = make([]uint64, words)
 	s.scMask = make([]uint64, words)
+	s.park = make([]uint64, words)
+	s.doom = make([]uint64, words)
 	for _, w := range s.warps {
 		s.reclassify(w)
 	}
@@ -333,12 +362,15 @@ func (s *SM) Tick(now timing.Cycle) bool {
 	if s.gto {
 		// Greedy-then-oldest: stick with the last issuing warp, then
 		// fall back to the oldest (lowest-id) ready warp.
-		if g := s.warps[s.greedy]; bitSet(s.cand, s.greedy) && g.busyUntil <= now && s.tryIssue(g, now) {
-			s.reclassify(g)
-			s.wakeAt = now + 1
-			s.closeIdle(now)
-			s.acctIssue(now)
-			return true
+		if g := s.warps[s.greedy]; bitSet(s.cand, s.greedy) && g.busyUntil <= now {
+			if s.tryIssue(g, now) {
+				s.reclassify(g)
+				s.wakeAt = now + 1
+				s.closeIdle(now)
+				s.acctIssue(now)
+				return true
+			}
+			s.failedTries++
 		}
 		for i := nextBit(s.cand, 0, n); i >= 0; i = nextBit(s.cand, i+1, n) {
 			if i == s.greedy {
@@ -356,6 +388,7 @@ func (s *SM) Tick(now timing.Cycle) bool {
 				s.acctIssue(now)
 				return true
 			}
+			s.failedTries++
 		}
 	} else {
 		// Loose round-robin over candidate warps: [rr, n) then [0, rr).
@@ -377,6 +410,7 @@ func (s *SM) Tick(now timing.Cycle) bool {
 					s.acctIssue(now)
 					return true
 				}
+				s.failedTries++
 			}
 			lo, hi = 0, s.rr
 		}
@@ -487,10 +521,17 @@ func (s *SM) SetRollover(on bool) { s.rollover = on }
 
 // ForceWake marks the SM dirty unconditionally so its next Tick rescans
 // and re-evaluates the accounting category (rollover start/end must split
-// sleep intervals). A forced tick on a sleeping SM cannot issue — sleep
-// means the scan already proved nothing is issuable and only completions
-// (which set dirty themselves) change that — so this is behavior-neutral.
-func (s *SM) ForceWake() { s.dirty = true }
+// sleep intervals). A rollover edge freezes or thaws the L1, so it also
+// releases and undooms every refused submit. A forced tick on a sleeping
+// SM cannot otherwise issue — sleep means the scan already proved nothing
+// is issuable and only completions (which set dirty themselves) change
+// that — so this is behavior-neutral.
+func (s *SM) ForceWake() {
+	s.Wake()
+	clear(s.doom)
+	s.doomN = 0
+	s.dirty = true
+}
 
 // firstBlocked returns the SC-blocked, not-busy warp the scheduler would
 // have tried first this cycle: under GTO the greedy warp, then the lowest
@@ -690,12 +731,13 @@ func (s *SM) drainSubmit(w *warp, now timing.Cycle) bool {
 	tr := s.trackers[w.subSlot]
 	progress := false
 	for len(w.subLines) > 0 {
+		line := w.subLines[0]
 		s.idSeq++
 		r := s.allocReq()
 		*r = coherence.Request{
 			ID:    (s.idSeq-1)*s.idStride + uint64(s.id) + 1,
 			Class: tr.class,
-			Line:  w.subLines[0],
+			Line:  line,
 			Warp:  w.id,
 			Val:   w.subVal,
 			Issue: tr.issue,
@@ -714,10 +756,14 @@ func (s *SM) drainSubmit(w *warp, now timing.Cycle) bool {
 			s.sp.Abort(r.ID)
 			s.freeReqs = append(s.freeReqs, r)
 			s.idSeq--
+			s.refuse(w)
 			break
 		}
 		w.subLines = w.subLines[1:]
 		progress = true
+		if s.doomN > 0 {
+			s.admitted(w, line)
+		}
 	}
 	if len(w.subLines) == 0 {
 		w.subSlot = -1
@@ -775,6 +821,7 @@ func (s *SM) markFenceStall(w *warp, now timing.Cycle) {
 		w.fenceStalled = true
 		w.fenceFrom = now
 		s.fenceStalledN++
+		s.reclassify(w) // parks the warp while accesses are outstanding
 	}
 }
 
@@ -863,30 +910,68 @@ func (s *SM) MemDone(r *coherence.Request, now timing.Cycle) {
 	s.reclassify(w)
 }
 
-// Wake implements coherence.Waker: the L1 ticked and may have freed the
-// MSHR slot a partially-submitted instruction is waiting on. Re-scan on
-// the next visited cycle. Gated on pendingSubs so an idle SM stays asleep:
-// completions arrive via MemDone, which marks dirty itself.
+// refuse parks w, whose head line the L1 just turned down. The refusal
+// proves the L1 refuses every line without an MSHR until it signals room,
+// so every doomed warp that Wake released and no scan has retried yet is
+// parked again with it.
+func (s *SM) refuse(w *warp) {
+	if !bitSet(s.doom, w.id) {
+		setBit(s.doom, w.id, true)
+		s.doomN++
+	}
+	for i, d := range s.doom {
+		s.park[i] |= d
+		s.cand[i] &^= d // doomed warps are otherwise candidates
+	}
+}
+
+// admitted records that the L1 accepted w's access to line. w's head moves
+// on, so w is no longer doomed; a doomed warp whose head is the same line
+// may now coalesce into the line's MSHR or hit the fill, so it is undoomed
+// and released.
+func (s *SM) admitted(w *warp, line uint64) {
+	if bitSet(s.doom, w.id) {
+		setBit(s.doom, w.id, false)
+		s.doomN--
+	}
+	n := len(s.warps)
+	for i := nextBit(s.doom, 0, n); i >= 0; i = nextBit(s.doom, i+1, n) {
+		if s.warps[i].subLines[0] == line {
+			setBit(s.doom, i, false)
+			s.doomN--
+			if bitSet(s.park, i) {
+				setBit(s.park, i, false)
+				setBit(s.cand, i, true)
+			}
+		}
+	}
+}
+
+// Wake implements coherence.Waker: the L1's full MSHR file freed an entry,
+// so any refused submit may now be accepted. Parked submits return to cand
+// (they stay doomed until an access to their line is accepted) and the SM
+// re-scans on the next visited cycle. A no-op when nothing is parked, so
+// an idle SM stays asleep: completions arrive via MemDone, which marks
+// dirty itself.
 func (s *SM) Wake() {
-	if s.pendingSubs > 0 {
-		s.dirty = true
+	for i, p := range s.park {
+		if p != 0 {
+			s.cand[i] |= p // parked submits are otherwise candidates
+			s.park[i] = 0
+			s.dirty = true
+		}
 	}
 }
 
 // NextEvent reports the earliest future cycle at which the SM itself could
-// make progress without an external completion.
+// make progress without an external completion. Parked submits need no
+// visit of their own: the L1 wakes the SM from its Tick, and the machine
+// re-arms the SM's wake time after every L1 tick that did work.
 func (s *SM) NextEvent(now timing.Cycle) timing.Cycle {
 	if s.dirty {
 		return now
 	}
-	next := s.wakeAt
-	if s.pendingSubs > 0 {
-		// A partially-submitted instruction keeps the machine visiting
-		// every cycle (as the retry loop always did); the scan itself only
-		// reruns once the L1 wakes us, so the visit is O(1).
-		next = timing.Min(next, now+1)
-	}
-	return next
+	return s.wakeAt
 }
 
 // noteBusy records a future busyUntil in the wheel (or busyFar when past
@@ -953,7 +1038,7 @@ func (s *SM) rebuildBusy(now timing.Cycle) timing.Cycle {
 				break
 			}
 			w := s.warps[i]
-			if w.subSlot >= 0 || w.busyUntil <= now {
+			if w.busyUntil <= now {
 				continue
 			}
 			s.noteBusy(now, w.busyUntil)
@@ -979,11 +1064,6 @@ func (s *SM) scanNextEvent(now timing.Cycle) timing.Cycle {
 				break
 			}
 			w := s.warps[i]
-			if w.subSlot >= 0 {
-				// MSHR retry: the L1 wakes us when its Tick frees a
-				// slot; until then retries are known to fail.
-				continue
-			}
 			if w.busyUntil > now {
 				next = timing.Min(next, w.busyUntil)
 				continue

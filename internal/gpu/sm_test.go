@@ -19,11 +19,21 @@ type fakeL1 struct {
 	accesses []uint64
 	fenceAt  timing.Cycle // FenceReadyAt result
 	fences   int
+
+	// mshrs > 0 bounds the accesses in flight, like a full MSHR file
+	// with one entry per access: Access is refused while the bound is
+	// reached, and a Tick that frees an entry of the full file wakes the
+	// SM (the real L1s' mem.MSHRs.OnRoom rule). refused counts refusals.
+	mshrs   int
+	refused int
 }
 
 func (f *fakeL1) Access(r *coherence.Request, now timing.Cycle) bool {
-	if f.rejectN > 0 {
-		f.rejectN--
+	if f.rejectN > 0 || (f.mshrs > 0 && f.pending.Len() >= f.mshrs) {
+		if f.rejectN > 0 {
+			f.rejectN--
+		}
+		f.refused++
 		return false
 	}
 	f.accesses = append(f.accesses, r.Line)
@@ -32,16 +42,21 @@ func (f *fakeL1) Access(r *coherence.Request, now timing.Cycle) bool {
 }
 func (f *fakeL1) Deliver(m *coherence.Msg, at timing.Cycle) {}
 func (f *fakeL1) Tick(now timing.Cycle) bool {
+	wasFull := f.mshrs > 0 && f.pending.Len() >= f.mshrs
 	did := false
 	for {
 		r, ok := f.pending.PopReady(now)
 		if !ok {
-			return did
+			break
 		}
 		r.Data = r.Line + 1000
 		f.sink.MemDone(r, now)
 		did = true
 	}
+	if did && wasFull {
+		f.sink.(coherence.Waker).Wake()
+	}
+	return did
 }
 func (f *fakeL1) NextEvent(now timing.Cycle) timing.Cycle { return f.pending.NextReady() }
 func (f *fakeL1) FenceReadyAt(warp int, now timing.Cycle) timing.Cycle {
@@ -75,7 +90,8 @@ func run(t *testing.T, sm *SM, l1 *fakeL1, limit int) timing.Cycle {
 			return now
 		}
 		// The machine's L1 wakes the SM whenever an MSHR retry might
-		// succeed; fakeL1 has no MSHR model, so wake unconditionally.
+		// succeed; fakeL1's rejectN refusals come with no such event, so
+		// wake unconditionally.
 		sm.Wake()
 		sm.Tick(now)
 		l1.Tick(now)

@@ -173,13 +173,23 @@ type mshrSlot[E any] struct {
 // until the Free that releases it; the next Alloc may hand the same
 // payload back out, reset by the constructor's reset function.
 type MSHRs[E any] struct {
-	cap   int
-	n     int
-	shift uint // 64 - log2(len(slots)); fibonacci-hash shift
-	slots []mshrSlot[E]
-	free  []*E
-	reset func(*E)
+	cap    int
+	n      int
+	shift  uint // 64 - log2(len(slots)); fibonacci-hash shift
+	slots  []mshrSlot[E]
+	free   []*E
+	reset  func(*E)
+	onRoom func() // see OnRoom
 }
+
+// OnRoom registers fn (nil clears it) to run whenever Free releases an
+// entry of a full table. An L1 refuses an access exactly when it is
+// frozen, or when the line has no entry, the table is full and the access
+// is not a readable load hit. While the table stays full no entry can
+// appear for a new line, and a line only becomes readable through a fill,
+// which needs an entry, so a free from full is the one event that can
+// turn a refusal into an acceptance. L1s register their SM's wake here.
+func (t *MSHRs[E]) OnRoom(fn func()) { t.onRoom = fn }
 
 // NewMSHRs returns a table with the given capacity. reset restores a
 // recycled entry to its zero state; it should truncate slices with [:0]
@@ -272,6 +282,7 @@ func (t *MSHRs[E]) Free(line uint64) {
 		i = (i + 1) & mask
 	}
 	e := t.slots[i].e
+	wasFull := t.n >= t.cap
 	if t.reset != nil {
 		t.reset(e)
 	} else {
@@ -295,6 +306,9 @@ func (t *MSHRs[E]) Free(line uint64) {
 		}
 	}
 	t.slots[i] = mshrSlot[E]{}
+	if wasFull && t.onRoom != nil {
+		t.onRoom()
+	}
 }
 
 // Len reports the number of live entries.

@@ -7,7 +7,8 @@
 package noc
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"rccsim/internal/coherence"
 	"rccsim/internal/config"
@@ -61,6 +62,7 @@ type Network struct {
 	chooser  DelayChooser
 	mcLog    []mcEntry
 	mcLogSeq uint64
+	mcFold   []mcEntry // FoldInflight's reused sort buffer
 
 	// onDeliver, when set, is called after each delivery so the run loop
 	// can re-arm the destination's wake time.
@@ -126,14 +128,14 @@ func (n *Network) SetChooser(fn DelayChooser) { n.chooser = fn }
 // hashes the pending delivery schedule into its state fingerprint so two
 // states that differ only in when a message will land never merge.
 func (n *Network) FoldInflight(fn func(at timing.Cycle, m *coherence.Msg)) {
-	entries := append([]mcEntry(nil), n.mcLog...)
-	sort.Slice(entries, func(i, j int) bool {
-		if entries[i].at != entries[j].at {
-			return entries[i].at < entries[j].at
+	n.mcFold = append(n.mcFold[:0], n.mcLog...)
+	slices.SortFunc(n.mcFold, func(a, b mcEntry) int {
+		if c := cmp.Compare(a.at, b.at); c != 0 {
+			return c
 		}
-		return entries[i].seq < entries[j].seq
+		return cmp.Compare(a.seq, b.seq)
 	})
-	for _, e := range entries {
+	for _, e := range n.mcFold {
 		fn(e.at, e.m)
 	}
 }

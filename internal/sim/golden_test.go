@@ -35,31 +35,79 @@ var goldenProtocols = []config.Protocol{
 //
 // only when a change is *meant* to alter simulated cycles.
 func TestCrossProtocolGoldenDigest(t *testing.T) {
-	b, ok := workload.ByName("DLB")
-	if !ok {
-		t.Fatal("benchmark DLB not found")
-	}
-	h := sha256.New()
-	for _, p := range goldenProtocols {
-		cfg := config.Small()
-		cfg.Protocol = p
+	checkGoldenDigest(t, "golden_stats.digest", goldenProtocols, nil, "DLB")
+}
 
-		var snaps [2]string
-		for i := range snaps {
-			res, err := RunBenchmark(cfg, b)
-			if err != nil {
-				t.Fatalf("%v run %d: %v", p, i, err)
+// TestGTOWeakOrderingGoldenDigest pins the weak-ordering protocols under
+// the greedy-then-oldest scheduler, which the cross-protocol digest (loose
+// round-robin only) leaves unpinned. GTO takes its own branch through the
+// SM's issue scan and scan masks. DLB stalls at fences; each benchmark
+// also runs with a 16-entry L1 MSHR file, which the default Small machine
+// never fills, so refused partial submits are covered too. Regenerate with
+//
+//	go test ./internal/sim -run GTOWeakOrderingGoldenDigest -update
+//
+// under the same rule as the cross-protocol digest.
+func TestGTOWeakOrderingGoldenDigest(t *testing.T) {
+	for _, mshrs := range []int{config.Small().L1MSHRs, 16} {
+		file := fmt.Sprintf("golden_gto_wo_mshr%d.digest", mshrs)
+		checkGoldenDigest(t, file, []config.Protocol{config.TCW, config.RCCWO}, func(c *config.Config) {
+			c.Scheduler = config.GTO
+			c.L1MSHRs = mshrs
+		}, "DLB", "NDL")
+	}
+}
+
+// TestMSHRStarvedGoldenDigest pins every protocol on a machine whose
+// 8-entry L1 MSHR file is full most of the time, so partially submitted
+// instructions and refused L1 accesses dominate the SM's issue path —
+// a path the default-sized golden runs never reach. Regenerate with
+//
+//	go test ./internal/sim -run MSHRStarvedGoldenDigest -update
+//
+// under the same rule as the cross-protocol digest.
+func TestMSHRStarvedGoldenDigest(t *testing.T) {
+	checkGoldenDigest(t, "golden_mshr8.digest", goldenProtocols, func(c *config.Config) {
+		c.L1MSHRs = 8
+	}, "DLB", "NDL")
+}
+
+// checkGoldenDigest runs every (benchmark, protocol) pair twice on
+// config.Small (adjusted by tweak, when non-nil), requires the two
+// stats.Run values to be bit-identical, and compares the SHA-256 over all
+// of them with testdata/<file> (or rewrites it under -update).
+func checkGoldenDigest(t *testing.T, file string, protocols []config.Protocol, tweak func(*config.Config), benches ...string) {
+	t.Helper()
+	h := sha256.New()
+	for _, name := range benches {
+		b, ok := workload.ByName(name)
+		if !ok {
+			t.Fatalf("benchmark %s not found", name)
+		}
+		for _, p := range protocols {
+			cfg := config.Small()
+			cfg.Protocol = p
+			if tweak != nil {
+				tweak(&cfg)
 			}
-			snaps[i] = fmt.Sprintf("%+v", *res.Stats)
+
+			var snaps [2]string
+			for i := range snaps {
+				res, err := RunBenchmark(cfg, b)
+				if err != nil {
+					t.Fatalf("%s/%v run %d: %v", name, p, i, err)
+				}
+				snaps[i] = fmt.Sprintf("%+v", *res.Stats)
+			}
+			if snaps[0] != snaps[1] {
+				t.Errorf("%s/%v: stats differ between two identical runs:\n run0: %s\n run1: %s", name, p, snaps[0], snaps[1])
+			}
+			fmt.Fprintf(h, "%v\n%s\n", p, snaps[0])
 		}
-		if snaps[0] != snaps[1] {
-			t.Errorf("%v: stats differ between two identical runs:\n run0: %s\n run1: %s", p, snaps[0], snaps[1])
-		}
-		fmt.Fprintf(h, "%v\n%s\n", p, snaps[0])
 	}
 	digest := hex.EncodeToString(h.Sum(nil))
 
-	path := filepath.Join("testdata", "golden_stats.digest")
+	path := filepath.Join("testdata", file)
 	if *updateGolden {
 		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 			t.Fatal(err)
@@ -75,8 +123,8 @@ func TestCrossProtocolGoldenDigest(t *testing.T) {
 		t.Fatalf("reading golden digest (run with -update to create): %v", err)
 	}
 	if got, w := digest, strings.TrimSpace(string(want)); got != w {
-		t.Errorf("cross-protocol stats digest changed:\n got  %s\n want %s\n"+
-			"simulated results are pinned; if this change is intentional, regenerate with -update", got, w)
+		t.Errorf("stats digest %s changed:\n got  %s\n want %s\n"+
+			"simulated results are pinned; if this change is intentional, regenerate with -update", file, got, w)
 	}
 }
 

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"runtime"
 	"testing"
 
 	"rccsim/internal/config"
@@ -207,4 +208,34 @@ func runLitmusCfg(t *testing.T, cfg config.Config, l sc.Litmus, seed uint64, fen
 	saved := cfg
 	_ = saved
 	return runLitmusWith(t, cfg, l, seed, fenced)
+}
+
+// TestNewSmallMachineAllocBound bounds the bytes sim.New allocates for a
+// config.Small machine — the machine the model checker builds tens of
+// thousands of times per campaign. Timing rings used to pre-carve item
+// storage for every bucket (about 314 KB per build); rings now carry
+// bucket headers only and a bucket gets its slice on first use (about
+// 202 KB). The bound sits between the two, so per-machine ring storage
+// cannot creep back unnoticed.
+func TestNewSmallMachineAllocBound(t *testing.T) {
+	const bound = 240 << 10
+	cfg := config.Small()
+	b, ok := workload.ByName("DLB")
+	if !ok {
+		t.Fatal("benchmark DLB not found")
+	}
+	prog := b.Generate(cfg)
+	const builds = 10
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	before := ms.TotalAlloc
+	for i := 0; i < builds; i++ {
+		if _, err := New(cfg, prog, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&ms)
+	if per := (ms.TotalAlloc - before) / builds; per > bound {
+		t.Errorf("sim.New allocates %d bytes per config.Small machine, want ≤ %d", per, bound)
+	}
 }

@@ -42,7 +42,12 @@ var wireLeaves = countLeaves(reflect.TypeOf(Run{}))
 // uint32 version, a uint32 leaf count, then every uint64 leaf of the
 // struct in declaration order, little-endian.
 func (r *Run) WireBytes() []byte {
-	buf := make([]byte, 0, len(wireMagic)+8+8*wireLeaves)
+	return r.AppendWire(make([]byte, 0, len(wireMagic)+8+8*wireLeaves))
+}
+
+// AppendWire appends WireBytes' encoding to buf and returns the extended
+// slice; with a reused buffer of sufficient capacity it does not allocate.
+func (r *Run) AppendWire(buf []byte) []byte {
 	buf = append(buf, wireMagic...)
 	buf = binary.LittleEndian.AppendUint32(buf, wireVersion)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(wireLeaves))

@@ -164,6 +164,15 @@ func (q *Queue[T]) PopReady(now Cycle) (T, bool) {
 	return v, true
 }
 
+// bucketCap is a bucket's first slice capacity: the common case is at most
+// a few items per cycle, so a bucket's slice rarely grows after first use.
+// First-use slices are carved from slabs of slabBuckets slices, so a ring
+// costs one allocation per slabBuckets buckets it actually uses.
+const (
+	bucketCap   = 4
+	slabBuckets = 16
+)
+
 // calBucket holds the items of one cycle. head indexes the next item to
 // pop; items[:head] have been consumed and are cleared.
 type calBucket[T any] struct {
@@ -186,6 +195,7 @@ type Calendar[T any] struct {
 	next    Cycle // earliest nonempty bucket's cycle (undefined when empty)
 	maxAt   Cycle // latest pending cycle (undefined when empty)
 	count   int
+	slab    []T // uncarved first-use storage (see bucketCap)
 }
 
 // Len reports the number of queued items (ready or not).
@@ -220,6 +230,13 @@ func (c *Calendar[T]) Push(at Cycle, v T) {
 	b := &c.buckets[pos]
 	if len(b.items) == 0 {
 		c.occ[pos>>6] |= 1 << uint(pos&63)
+		if b.items == nil {
+			if len(c.slab) == 0 {
+				c.slab = make([]T, slabBuckets*bucketCap)
+			}
+			b.items = c.slab[:0:bucketCap]
+			c.slab = c.slab[bucketCap:]
+		}
 	}
 	b.items = append(b.items, v)
 	c.count++
@@ -227,8 +244,8 @@ func (c *Calendar[T]) Push(at Cycle, v T) {
 }
 
 // Reserve sizes the ring for events at most span cycles apart, replacing
-// the default (generously large) first-Push ring for queues with a known
-// short horizon. The ring still grows on demand if the span estimate is
+// the default 1024-bucket first-Push ring for queues with a known short
+// horizon. The ring still doubles on demand if the span estimate is
 // exceeded. No-op once the calendar holds or has held items.
 func (c *Calendar[T]) Reserve(span int) {
 	if c.buckets != nil || span <= 0 {
@@ -241,39 +258,39 @@ func (c *Calendar[T]) Reserve(span int) {
 	c.init(size)
 }
 
-// init sizes the ring and seeds every bucket with a small slice carved
-// from one shared backing array, so the common ≤4-items-per-cycle case
-// never allocates per bucket.
+// init sizes the ring. Buckets carry no item storage yet: a bucket gets
+// its slice on first use and keeps it across later cycles that map to it,
+// so a short-lived machine pays only for the buckets it actually fills.
 func (c *Calendar[T]) init(size int) {
-	const seedCap = 4
 	c.buckets = make([]calBucket[T], size)
 	c.occ = make([]uint64, size/64)
 	c.mask = size - 1
-	storage := make([]T, size*seedCap)
-	for i := range c.buckets {
-		c.buckets[i].items = storage[i*seedCap : i*seedCap : (i+1)*seedCap]
-	}
 }
 
-// grow reallocates the ring so that [lo, hi] fits, re-placing pending
-// items (their relative order within each cycle is preserved).
+// grow doubles the ring until [lo, hi] fits. Old bucket i can only move to
+// a new index congruent to i modulo the old size, so every bucket — its
+// slice, pending items and head — moves wholesale without colliding with
+// another: a pending bucket goes to the index of its cycle (keeping its
+// FIFO order), an empty one keeps its index and its storage.
 func (c *Calendar[T]) grow(lo, hi Cycle) {
-	size := 1024
+	size := 2 * len(c.buckets)
 	for Cycle(size) <= hi-lo {
 		size *= 2
 	}
 	old, oldMask := c.buckets, c.mask
 	c.init(size)
-	if c.count > 0 {
-		for cyc := c.next; cyc <= c.maxAt; cyc++ {
-			ob := &old[int(cyc)&oldMask]
-			if ob.head < len(ob.items) {
-				pos := int(cyc) & c.mask
-				nb := &c.buckets[pos]
-				nb.items = append(nb.items, ob.items[ob.head:]...)
-				c.occ[pos>>6] |= 1 << uint(pos&63)
-			}
+	base := int(c.next) & oldMask
+	for i := range old {
+		ob := &old[i]
+		pos := i
+		if ob.head < len(ob.items) {
+			// Pending cycles span less than the old ring, so bucket i
+			// holds exactly the cycle next + (i - next) mod oldSize.
+			cyc := c.next + Cycle((i-base)&oldMask)
+			pos = int(cyc) & c.mask
+			c.occ[pos>>6] |= 1 << uint(pos&63)
 		}
+		c.buckets[pos] = *ob
 	}
 }
 
