@@ -208,15 +208,6 @@ type Config struct {
 	// MaxCycles aborts a run that exceeds this many cycles (a safety net
 	// against protocol deadlocks; 0 means no limit).
 	MaxCycles uint64
-
-	// Shards splits the SMs and their L1s across this many goroutines,
-	// synchronized at epoch barriers one NoC delivery horizon apart. The
-	// simulated results — stats digest included — are bit-identical to a
-	// single-shard run; see internal/sim. 0 and 1 both mean sequential.
-	// The effective count is clamped to NumSMs, and to 1 for SC-IDEAL
-	// (its idealized invalidations bypass the interconnect's latency
-	// floor, so its L2→L1 calls cannot be deferred to a barrier).
-	Shards int
 }
 
 // Default returns the Table III machine with the RCC protocol.
@@ -319,8 +310,9 @@ func (c Config) Validate() error {
 		return fmt.Errorf("config: RCCTSMax %d too small for max lease %d", c.RCCTSMax, c.RCCMaxLease)
 	case c.Scale <= 0:
 		return fmt.Errorf("config: Scale must be positive, got %v", c.Scale)
-	case c.Shards < 0:
-		return fmt.Errorf("config: Shards must be non-negative, got %d", c.Shards)
+	case c.DRAMBanksPerPart <= 0 || c.DRAMRowLines <= 0:
+		return fmt.Errorf("config: DRAM geometry invalid (%d banks x %d lines per row)",
+			c.DRAMBanksPerPart, c.DRAMRowLines)
 	}
 	return nil
 }

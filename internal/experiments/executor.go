@@ -1,14 +1,13 @@
 // Pluggable point execution for the experiment harness.
 //
-// The Runner and the sweeps historically called sim.RunBenchmark directly;
-// an Executor abstracts "run one (config, benchmark) point to completion"
-// so the in-process pool, the content-addressed result cache, and the
-// distributed farm coordinator are interchangeable: every figure and sweep
-// rides whichever executor the CLI wires in, unchanged. Executors must be
-// deterministic — the same point always yields the same Result — which all
-// three are: local runs are bit-deterministic by construction, the cache
-// replays bit-identical stored results, and farm workers run the same
-// deterministic simulation remotely.
+// An Executor abstracts "run one (config, benchmark) point to completion"
+// so the in-process pool, the content-addressed result cache, and
+// wrappers around them (rccsweep's interrupt drain gate, perfbench's
+// timed executor) are interchangeable: every figure and sweep rides
+// whichever executor the caller wires in, unchanged. Executors must be
+// deterministic — the same point always yields the same Result: local
+// runs are bit-deterministic by construction, and the cache replays
+// bit-identical stored results.
 package experiments
 
 import (
@@ -36,13 +35,12 @@ func (LocalExecutor) Execute(cfg config.Config, b workload.Benchmark) (sim.Resul
 }
 
 // CachedExecutor consults a content-addressed on-disk result cache before
-// delegating to Inner, and stores every freshly computed result. Cache
+// simulating in-process, and stores every freshly computed result. Cache
 // hits rebuild the full sim.Result from the stored stats: Energy is a pure
 // function of (config, stats), so nothing else needs storing. Errors are
 // never cached — a failed point is retried on the next run.
 type CachedExecutor struct {
 	Cache *resultcache.Cache
-	Inner Executor // nil means LocalExecutor
 }
 
 // Execute serves the point from cache when possible.
@@ -51,11 +49,7 @@ func (e CachedExecutor) Execute(cfg config.Config, b workload.Benchmark) (sim.Re
 	if st, ok := e.Cache.Get(key); ok {
 		return sim.Result{Config: cfg, Stats: st, Energy: energy.Interconnect(cfg, st)}, nil
 	}
-	inner := e.Inner
-	if inner == nil {
-		inner = LocalExecutor{}
-	}
-	res, err := inner.Execute(cfg, b)
+	res, err := LocalExecutor{}.Execute(cfg, b)
 	if err == nil {
 		if perr := e.Cache.Put(key, res.Stats); perr != nil {
 			// A write failure only costs a recompute next run; the sweep
@@ -68,7 +62,7 @@ func (e CachedExecutor) Execute(cfg config.Config, b workload.Benchmark) (sim.Re
 
 // WithExecutor routes every point of a sweep through ex instead of the
 // in-process simulation call. Point-level tracing and heat sketches are
-// incompatible with remote or replayed execution, so WithPointTracer and
+// incompatible with replayed execution, so WithPointTracer and
 // WithPointHeat are ignored when an executor is set (the CLIs reject the
 // flag combinations up front).
 func WithExecutor(ex Executor) RunOpt {

@@ -32,10 +32,9 @@ type Runner struct {
 	Jobs int // max concurrent simulations (set at construction)
 
 	// Exec, when non-nil, runs each point instead of the in-process
-	// simulation: a CachedExecutor for disk-backed memoization, a farm
-	// coordinator for distributed sweeps, or any chain of the two. All
-	// executors are deterministic per point, so results are independent
-	// of which one is wired in.
+	// simulation: a CachedExecutor for disk-backed memoization, or any
+	// wrapper around one. All executors are deterministic per point, so
+	// results are independent of which one is wired in.
 	Exec Executor
 
 	// Progress, when non-nil, is invoked after each simulation a Preload

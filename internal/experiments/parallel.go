@@ -196,7 +196,7 @@ func runAll(cfgs []config.Config, b workload.Benchmark, jobs int, opts ...RunOpt
 		var res sim.Result
 		var err error
 		if o.exec != nil {
-			// Executor-routed points (cache, farm) cannot host a local
+			// Executor-routed points (cache hits) cannot host a local
 			// trace bus or heat sketch; the CLIs reject the combination.
 			res, err = o.exec.Execute(cfgs[i], b)
 		} else {

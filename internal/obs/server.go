@@ -32,29 +32,20 @@ func StartServer(addr string, reg *Registry, tr *Tracker) (string, error) {
 // scraping mid-run observes a consistent snapshot of finished spans. A nil
 // recorder serves 404 on /spans (span recording off).
 func StartServerSpans(addr string, reg *Registry, tr *Tracker, sp *span.Recorder) (string, error) {
-	return StartServerFarm(addr, reg, tr, sp, nil)
+	return startServer(addr, reg, tr, sp, nil)
 }
 
-// StartServerFarm is StartServerSpans plus a farm coordinator handler
-// mounted under /farm/ — so one listener serves both the sweep's
-// introspection endpoints (/metrics with the fleet series, /runs with
-// worker assignments) and the worker-facing lease protocol. A nil farm
-// handler mounts nothing.
-func StartServerFarm(addr string, reg *Registry, tr *Tracker, sp *span.Recorder, farm http.Handler) (string, error) {
-	return startServer(addr, reg, tr, sp, farm, nil)
-}
-
-// StartServerLedger is StartServerFarm plus the /ledger archive endpoint
+// StartServerLedger is StartServerSpans plus the /ledger archive endpoint
 // (pass ledger.Handler(l); nil mounts nothing). The handler is an opaque
 // http.Handler rather than a *ledger.Ledger because the dependency runs
 // the other way: sim imports obs, and ledger sits above both.
-func StartServerLedger(addr string, reg *Registry, tr *Tracker, sp *span.Recorder, farm, ledger http.Handler) (string, error) {
-	return startServer(addr, reg, tr, sp, farm, ledger)
+func StartServerLedger(addr string, reg *Registry, tr *Tracker, sp *span.Recorder, ledger http.Handler) (string, error) {
+	return startServer(addr, reg, tr, sp, ledger)
 }
 
 // startServer is the shared implementation behind the StartServer*
 // helpers.
-func startServer(addr string, reg *Registry, tr *Tracker, sp *span.Recorder, farm, ledger http.Handler) (string, error) {
+func startServer(addr string, reg *Registry, tr *Tracker, sp *span.Recorder, ledger http.Handler) (string, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return "", fmt.Errorf("obs: listen %s: %w", addr, err)
@@ -78,9 +69,6 @@ func startServer(addr string, reg *Registry, tr *Tracker, sp *span.Recorder, far
 			w.Header().Set("Content-Type", "application/json")
 			_ = sp.WriteJSON(w, top)
 		})
-	}
-	if farm != nil {
-		mux.Handle("/farm/", farm)
 	}
 	if ledger != nil {
 		mux.Handle("/ledger", ledger)

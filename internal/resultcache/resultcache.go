@@ -1,5 +1,6 @@
 // Package resultcache is a content-addressed on-disk cache of finished
-// simulation results, the durability layer of the distributed sweep farm.
+// simulation results, which makes local sweeps (-cache-dir) resumable and
+// incremental.
 //
 // A cache entry maps one simulation point — a (config, benchmark) pair —
 // to its finished stats.Run. The key is
@@ -20,10 +21,7 @@
 //     bit-deterministic per (config, benchmark), so replaying a cached
 //     stats.Run is byte-identical to re-running the point.
 //
-// The config digest spans every Config field except Shards, which is
-// normalized out: sharded runs are pinned bit-identical to sequential ones
-// (TestShardedGoldenDigest), so a point computed at -shards 4 is the same
-// point at -shards 1 and the cache is shared across shard settings.
+// The config digest spans every Config field.
 //
 // Entries are written atomically (temp file + rename into place) and
 // carry their own payload digest; a corrupted, truncated, or stale entry
@@ -92,10 +90,8 @@ func Open(dir, binDigest string) (*Cache, error) {
 // Dir returns the cache root (resume hints, logs).
 func (c *Cache) Dir() string { return c.dir }
 
-// Key derives the content address of the (cfg, bench) point. Shards is
-// normalized to zero first — see the package comment.
+// Key derives the content address of the (cfg, bench) point.
 func (c *Cache) Key(cfg config.Config, bench string) Key {
-	cfg.Shards = 0
 	h := sha256.New()
 	// Length-prefix each variable part so no two input splits collide.
 	writePart := func(s string) {
@@ -211,8 +207,10 @@ func decodeEntry(b []byte) (*stats.Run, error) {
 	if v := binary.LittleEndian.Uint32(b[len(entryMagic):]); v != entryVersion {
 		return nil, fmt.Errorf("resultcache: entry version %d, want %d", v, entryVersion)
 	}
+	// Bound n before any arithmetic: a huge length would wrap hdr+n+32
+	// around to len(b) and pass an equality check.
 	n := binary.LittleEndian.Uint64(b[len(entryMagic)+4:])
-	if uint64(len(b)) != uint64(hdr)+n+sha256.Size {
+	if len(b) < hdr+sha256.Size || n != uint64(len(b)-hdr-sha256.Size) {
 		return nil, fmt.Errorf("resultcache: entry length mismatch")
 	}
 	payload := b[hdr : hdr+int(n)]

@@ -283,9 +283,9 @@ type Recorder struct {
 	// program order within a warp; under WO litmus traces are fenced.
 	perThread map[int][]uint64
 	maxWarps  int
-	// Sharded machines call LoadObserved from several shard goroutines.
-	// Each warp stays pinned to one shard, so per-key append order is
-	// still completion order; only the map itself needs the lock.
+	// mu keeps LoadObserved safe to call from more than one goroutine.
+	// Per-key append order is completion order as long as each warp's
+	// loads are reported from one goroutine; only the map needs the lock.
 	mu sync.Mutex
 }
 

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"flag"
@@ -9,10 +8,10 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"rccsim/internal/config"
-	"rccsim/internal/trace"
 	"rccsim/internal/workload"
 )
 
@@ -128,48 +127,14 @@ func checkGoldenDigest(t *testing.T, file string, protocols []config.Protocol, t
 	}
 }
 
-// TestShardedTraceBytes pins the walkthrough-grade event stream across
-// shard counts: a machine with a whole-machine tracer attached falls back
-// to the sequential loop regardless of cfg.Shards, and its full JSONL
-// trace must be byte-identical to a -shards 1 run. This proves the sharded
-// construction wiring (deferred ports, shard plan, clamps) is behaviourally
-// invisible — the fallback isn't a separate machine, just a different
-// schedule over identical components.
-func TestShardedTraceBytes(t *testing.T) {
-	b, ok := workload.ByName("DLB")
-	if !ok {
-		t.Fatal("benchmark DLB not found")
-	}
-	run := func(shards int) []byte {
-		var buf bytes.Buffer
-		cfg := config.Small()
-		cfg.Protocol = config.RCC
-		cfg.Scale = 0.06
-		cfg.Shards = shards
-		tr := trace.NewBus(trace.NewJSONLSink(&buf))
-		if _, err := RunBenchmarkTraced(cfg, b, tr); err != nil {
-			t.Fatalf("shards=%d: %v", shards, err)
-		}
-		if err := tr.Close(); err != nil {
-			t.Fatalf("shards=%d: closing trace: %v", shards, err)
-		}
-		return buf.Bytes()
-	}
-	want := run(1)
-	for _, shards := range []int{2, 4} {
-		if got := run(shards); !bytes.Equal(got, want) {
-			t.Errorf("traced run at shards=%d produced a different event stream than shards=1 (%d vs %d bytes)",
-				shards, len(got), len(want))
-		}
-	}
-}
-
-// TestShardedGoldenDigest proves the tentpole determinism claim: for every
-// protocol, running the DLB benchmark at -shards 2 and -shards 4 produces a
-// stats snapshot byte-identical to the sequential (-shards 1) run. Shards
-// only change the host-side execution schedule; the simulated machine —
-// message order, jitter draws, rollover timing, cycle accounting — must be
-// unobservably the same.
+// TestShardedGoldenDigest checks that a simulation's result does not depend
+// on what else the process runs at the same time. The local -j pool (and
+// the result cache keyed on the Config alone) rely on this: a sweep is
+// sharded across worker goroutines, each building its own Machine. For
+// every protocol, shards=N runs N DLB simulations of the same point
+// concurrently and requires each stats snapshot to be byte-identical to a
+// run made alone, so no package-level state (allocation pools, jitter
+// sources, interned tables) leaks between Machines.
 func TestShardedGoldenDigest(t *testing.T) {
 	b, ok := workload.ByName("DLB")
 	if !ok {
@@ -180,23 +145,37 @@ func TestShardedGoldenDigest(t *testing.T) {
 			p, shards := p, shards
 			t.Run(fmt.Sprintf("%v/shards=%d", p, shards), func(t *testing.T) {
 				t.Parallel()
-				seq := config.Small()
-				seq.Protocol = p
-				ref, err := RunBenchmark(seq, b)
+				cfg := config.Small()
+				cfg.Protocol = p
+				ref, err := RunBenchmark(cfg, b)
 				if err != nil {
-					t.Fatalf("sequential run: %v", err)
+					t.Fatalf("lone run: %v", err)
 				}
-
-				cfg := seq
-				cfg.Shards = shards
-				res, err := RunBenchmark(cfg, b)
-				if err != nil {
-					t.Fatalf("sharded run: %v", err)
-				}
-				got := fmt.Sprintf("%+v", *res.Stats)
 				want := fmt.Sprintf("%+v", *ref.Stats)
-				if got != want {
-					t.Errorf("stats diverge from sequential run:\n sharded:    %s\n sequential: %s", got, want)
+
+				got := make([]string, shards)
+				errs := make([]error, shards)
+				var wg sync.WaitGroup
+				for i := range got {
+					wg.Add(1)
+					go func(i int) {
+						defer wg.Done()
+						res, err := RunBenchmark(cfg, b)
+						if err != nil {
+							errs[i] = err
+							return
+						}
+						got[i] = fmt.Sprintf("%+v", *res.Stats)
+					}(i)
+				}
+				wg.Wait()
+				for i := range got {
+					if errs[i] != nil {
+						t.Fatalf("concurrent run %d: %v", i, errs[i])
+					}
+					if got[i] != want {
+						t.Errorf("concurrent run %d diverges from the lone run:\n concurrent: %s\n lone:       %s", i, got[i], want)
+					}
 				}
 			})
 		}

@@ -100,6 +100,24 @@ func TestWireCoversEveryField(t *testing.T) {
 	}
 }
 
+// FuzzDecodeWire: DecodeWire never panics, and every blob it accepts
+// re-encodes to exactly the bytes it was given.
+func FuzzDecodeWire(f *testing.F) {
+	good := populated().WireBytes()
+	f.Add(good)
+	f.Add(New().WireBytes())
+	f.Add(good[:len(good)-5])
+	f.Fuzz(func(t *testing.T, b []byte) {
+		r, err := DecodeWire(b)
+		if err != nil {
+			return
+		}
+		if got := r.WireBytes(); !bytes.Equal(got, b) {
+			t.Fatalf("accepted blob re-encodes differently:\n in  %x\n out %x", b, got)
+		}
+	})
+}
+
 func TestWireRejectsCorruption(t *testing.T) {
 	good := populated().WireBytes()
 
